@@ -59,42 +59,44 @@ cargo build --release --workspace --all-targets
 stage "lint coverage: every workspace member lives under a linted root"
 # demodq-lint scans the crates/, vendor/ and src/ trees. A workspace
 # member added anywhere else would silently escape the determinism and
-# safety lints, so any Cargo.toml outside those roots fails the gate.
-while IFS= read -r manifest; do
-    case "$manifest" in
-        ./Cargo.toml | ./crates/*/Cargo.toml | ./vendor/*/Cargo.toml) ;;
+# safety lints, so any member manifest outside those roots fails the
+# gate. Packages with a [workspace] of their own (perfbench/) are not
+# members and are not checked here.
+root=$(pwd -P)
+manifests=$(cargo metadata --no-deps --format-version 1 --offline |
+    grep -o '"manifest_path":"[^"]*"' | sed 's/^"manifest_path":"//; s/"$//')
+for manifest in $manifests; do
+    case "${manifest#"$root"/}" in
+        Cargo.toml | crates/*/Cargo.toml | vendor/*/Cargo.toml) ;;
         *)
-            echo "FAIL: $manifest is outside demodq-lint coverage (crates/, vendor/, root)"
+            echo "FAIL: workspace member $manifest is outside demodq-lint coverage (crates/, vendor/, root)"
             exit 1
             ;;
     esac
-done < <(find . -name Cargo.toml -not -path './target/*')
+done
 
-stage "demodq-lint (determinism & safety lints vs lint-baseline.txt)"
+stage "demodq-lint (lexical lints + flow analyses vs lint-baseline.txt)"
 cargo run -q --release -p demodq-lint -- --format json
 
-stage "demodq-analyze (flow-aware T001/L001/E001/K001 vs lint-baseline.txt)"
-cargo run -q --release -p demodq-lint --bin demodq-analyze -- --format json
-
-stage "analyzer fixture self-check (seeded violations must fail an empty baseline)"
+stage "lint fixture self-check (seeded violations must fail an empty baseline)"
 # Guards the gate itself: the committed fixture tree seeds at least one
-# violation per analysis code, so a pass against an empty baseline means
-# the analyzer has silently stopped finding anything.
+# violation per flow-analysis code, so a pass against an empty baseline
+# means the analyzer has silently stopped finding anything.
 rc=0
-cargo run -q --release -p demodq-lint --bin demodq-analyze -- \
+cargo run -q --release -p demodq-lint -- \
     --root crates/lint/tests/fixtures/analyze/ws --no-baseline \
-    --format json > target/analyze_fixture.json || rc=$?
+    --format json > target/lint_fixture.json || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "FAIL: seeded fixture tree exited $rc (want 1: violations found)"
     exit 1
 fi
 for code in T001 L001 E001 K001; do
-    grep -q "\"$code\"" target/analyze_fixture.json || {
+    grep -q "\"$code\"" target/lint_fixture.json || {
         echo "FAIL: $code did not fire on the seeded fixture tree"
         exit 1
     }
 done
-echo "analyzer fixture self-check OK (all four codes fired)"
+echo "lint fixture self-check OK (all four flow codes fired)"
 
 stage "cargo test --workspace -q"
 cargo test --workspace -q
@@ -126,7 +128,7 @@ cargo run --release -p demodq-bench --bin studybench -- \
     --smoke --out target/BENCH_study.json --baseline BENCH_study.json
 
 stage "serve-bench throughput gate (vs committed BENCH_serve.json)"
-# Boots the event-driven server on an ephemeral port, hammers /v1/predict
+# Boots the server on an ephemeral port, hammers /v1/predict
 # with the committed benchmark shape, and fails on any 5xx, any mid-run
 # connection reset, a missing fairness-drift gauge, or throughput below
 # 75% of the committed baseline (machine noise headroom; a real
@@ -198,10 +200,9 @@ echo "crash-resume smoke OK (journal hits: $hits)"
 stage "thread-count byte-identity smoke (1 vs 2 vs 8 threads)"
 # The serial run is the reference semantics; any parallel run must export
 # the identical bytes (unit seeds derive from grid position, never from
-# the schedule, and the histogram kernel's parallel feature scans add
-# each cell's values in the same per-lane order as the serial pass). The
-# 2-thread leg exercises the uneven rayon::join splits a power-of-two
-# pool never sees.
+# the schedule, and the histogram kernel adds each cell's values in
+# ascending row position on the calling thread). The 2-thread leg
+# exercises the uneven rayon::join splits a power-of-two pool never sees.
 DEMODQ_THREADS=1 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads1.json"
 DEMODQ_THREADS=2 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads2.json"
 DEMODQ_THREADS=8 "$RESUME_SMOKE" "${SMOKE_ARGS[@]}" --out "$SMOKE_DIR/threads8.json"

@@ -19,9 +19,9 @@
 //! each binary so the shape comparison is immediate; EXPERIMENTS.md records
 //! a full run.
 //!
-//! The Criterion benches (`cargo bench -p demodq-bench`) measure the
-//! systems cost of the building blocks: detector throughput, repair
-//! throughput, model training, and the end-to-end pipeline.
+//! The systems cost of the building blocks (detectors, repairs, model
+//! fits, scoring) is timed layer by layer by `perfbench/` (see its
+//! README).
 
 use demodq::config::{StudyOptions, StudyScale};
 

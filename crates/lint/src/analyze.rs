@@ -1,4 +1,4 @@
-//! `demodq-analyze` — the AST/call-graph analyzer driver.
+//! The AST/call-graph analyzer: the flow-aware pass of `demodq-lint`.
 //!
 //! Parses every workspace source (vendor excluded — see
 //! [`AnalyzeConfig`]), builds the call graph, and runs the four
@@ -12,8 +12,9 @@
 //! | K001 | allocation (`Vec::new`/`push`/`to_vec`/`vec!`/`format!`) inside the hot scoring kernels |
 //!
 //! Findings reuse the `// lint:allow(CODE, reason)` suppression and
-//! shrink-only baseline machinery of the lexical linter; both tools
-//! share `lint-baseline.txt`, each comparing only its own code scope.
+//! shrink-only baseline machinery of the lexical linter; `demodq-lint`
+//! merges both passes ([`crate::check_tree`]) and gates the merged
+//! report against `lint-baseline.txt`.
 
 use crate::callgraph::{self, Graph, RawCall};
 use crate::parser;
@@ -40,9 +41,6 @@ pub struct AnalyzeConfig {
     /// E001 entries: files (suffix match) whose non-test fns anchor
     /// the event-loop reachability scan.
     pub entry_files: Vec<String>,
-    /// E001 allowlist (prefix match): files reachability never enters
-    /// (the threaded fallback server blocks by design).
-    pub e001_allow: Vec<String>,
     /// K001 scope: hot-kernel files (suffix match).
     pub kernel_paths: Vec<String>,
 }
@@ -72,7 +70,6 @@ impl AnalyzeConfig {
                 "crates/bench/".to_string(),
             ],
             entry_files: vec!["crates/serve/src/event.rs".to_string()],
-            e001_allow: vec!["crates/serve/src/server.rs".to_string()],
             kernel_paths: vec!["crates/mlcore/src/kernels.rs".to_string()],
         }
     }
@@ -87,10 +84,6 @@ impl AnalyzeConfig {
 
     fn is_entry_file(&self, rel: &str) -> bool {
         self.entry_files.iter().any(|s| rel.ends_with(s.as_str()))
-    }
-
-    fn is_e001_allowed(&self, rel: &str) -> bool {
-        self.e001_allow.iter().any(|p| rel.starts_with(p.as_str()) || rel.ends_with(p.as_str()))
     }
 
     fn is_kernel(&self, rel: &str) -> bool {
@@ -144,10 +137,8 @@ pub fn analyze_sources(sources: &[(String, String)], config: &AnalyzeConfig) -> 
         crate::suppress_by_allows(lexed, &mut slice);
     }
 
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
-    });
-    Report { findings, files_scanned: files.len() }
+    crate::sort_findings(&mut findings);
+    Report { findings, files_scanned: files.len(), flow_files_scanned: files.len() }
 }
 
 /// Analyzes every `.rs` file under `root`'s configured roots.
@@ -185,7 +176,7 @@ fn run_e001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) 
         head += 1;
         for edge in &graph.fns[cur].edges {
             let callee = &graph.fns[edge.callee];
-            if reachable[edge.callee] || callee.in_test || config.is_e001_allowed(&callee.file) {
+            if reachable[edge.callee] || callee.in_test {
                 continue;
             }
             reachable[edge.callee] = true;
@@ -210,7 +201,7 @@ fn run_e001(graph: &Graph, config: &AnalyzeConfig, findings: &mut Vec<Finding>) 
     };
 
     for (i, f) in graph.fns.iter().enumerate() {
-        if !reachable[i] || config.is_e001_allowed(&f.file) {
+        if !reachable[i] {
             continue;
         }
         let mut lock_lines: Vec<usize> = Vec::new();

@@ -18,13 +18,12 @@
 //! | P001 | `.unwrap()` / `.expect(..)` / `panic!` in library-crate code outside tests |
 //! | F001 | float `==` / `!=` comparison against a float literal in library code |
 //!
-//! The same crate also ships `demodq-analyze` — an AST/call-graph
-//! analyzer ([`analyze`], codes T001/L001/E001/K001) that catches the
-//! flow-level hazards these token lints cannot see (a tainted helper
-//! three calls away, a lock-order inversion across functions, a
-//! blocking call on an event-loop path). Both tools share the
-//! suppression syntax and the baseline file; each gates only on its own
-//! code scope ([`Code::LEXICAL`] vs [`Code::ANALYSIS`]).
+//! The same binary also runs an AST/call-graph analyzer ([`analyze`],
+//! codes T001/L001/E001/K001) that catches the flow-level hazards these
+//! token lints cannot see (a tainted helper three calls away, a
+//! lock-order inversion across functions, a blocking call on an
+//! event-loop path). [`check_tree`] merges both passes into one report,
+//! with one suppression syntax and one baseline file.
 //!
 //! # Suppressions
 //!
@@ -94,15 +93,6 @@ impl Code {
         Code::E001,
         Code::K001,
     ];
-
-    /// The token-level codes `demodq-lint` owns. The two tools share one
-    /// baseline file; each compares only its own scope so the other's
-    /// grandfathered entries are never reported stale.
-    pub const LEXICAL: [Code; 6] =
-        [Code::D001, Code::D002, Code::D003, Code::S001, Code::P001, Code::F001];
-
-    /// The flow-aware codes `demodq-analyze` owns.
-    pub const ANALYSIS: [Code; 4] = [Code::T001, Code::L001, Code::E001, Code::K001];
 
     /// The stable code string.
     pub fn name(self) -> &'static str {
@@ -222,7 +212,6 @@ impl Config {
                 "crates/core/src/progress.rs".to_string(),
                 "crates/serve/".to_string(),
                 "crates/bench/".to_string(),
-                "vendor/criterion/".to_string(),
             ],
             roots: vec![
                 "crates".to_string(),
@@ -840,6 +829,9 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
+    /// Files the flow pass analyzed (a subset of `files_scanned`; zero
+    /// for a lexical-only report).
+    pub flow_files_scanned: usize,
 }
 
 impl Report {
@@ -871,10 +863,30 @@ pub fn lint_tree(root: &Path, config: &Config) -> std::io::Result<Report> {
         report.findings.extend(lint_source(&rel, &source, config));
         report.files_scanned += 1;
     }
-    report.findings.sort_by(|a, b| {
+    sort_findings(&mut report.findings);
+    Ok(report)
+}
+
+/// Runs both passes over `root` under the demodq policies — the lexical
+/// lints ([`lint_tree`]) and the flow analyses
+/// ([`analyze::analyze_tree`]) — and merges them into one report. The
+/// analyzer's files are a subset of the lexical pass's (it skips
+/// `vendor/`), so `files_scanned` is the lexical count and
+/// `flow_files_scanned` the analyzer's.
+pub fn check_tree(root: &Path) -> std::io::Result<Report> {
+    let mut report = lint_tree(root, &Config::demodq())?;
+    let flow = analyze::analyze_tree(root, &analyze::AnalyzeConfig::demodq())?;
+    report.flow_files_scanned = flow.flow_files_scanned;
+    report.findings.extend(flow.findings);
+    sort_findings(&mut report.findings);
+    Ok(report)
+}
+
+/// The report order: (file, line, code).
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code).cmp(&(b.file.as_str(), b.line, b.code))
     });
-    Ok(report)
 }
 
 /// The grandfathered findings: `(file, code) -> count`.
@@ -968,46 +980,6 @@ pub fn compare(report: &Report, baseline: &Baseline) -> Verdict {
         }
     }
     verdict
-}
-
-/// Compares only the given code scope of a report against the matching
-/// slice of the baseline. The lexical linter and the analyzer share one
-/// baseline file; each gates on its own codes ([`Code::LEXICAL`] /
-/// [`Code::ANALYSIS`]) so neither sees the other's grandfathered
-/// entries as stale.
-pub fn compare_scoped(report: &Report, baseline: &Baseline, codes: &[Code]) -> Verdict {
-    let in_scope = |c: &Code| codes.contains(c);
-    let scoped_report = Report {
-        findings: report.findings.iter().filter(|f| in_scope(&f.code)).cloned().collect(),
-        files_scanned: report.files_scanned,
-    };
-    let scoped_baseline = Baseline {
-        counts: baseline
-            .counts
-            .iter()
-            .filter(|((_, c), _)| in_scope(c))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect(),
-    };
-    compare(&scoped_report, &scoped_baseline)
-}
-
-/// Rewrites the in-scope slice of a baseline from a report, preserving
-/// the other tool's entries verbatim (`--write-baseline` must never
-/// drop the sibling scope).
-pub fn rewrite_baseline_scoped(old: &Baseline, report: &Report, codes: &[Code]) -> Baseline {
-    let mut counts: BTreeMap<(String, Code), usize> = old
-        .counts
-        .iter()
-        .filter(|((_, c), _)| !codes.contains(c))
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    for ((file, code), n) in Baseline::from_report(report).counts {
-        if codes.contains(&code) {
-            counts.insert((file, code), n);
-        }
-    }
-    Baseline { counts }
 }
 
 /// Minimal JSON string escaping for the machine-readable output.

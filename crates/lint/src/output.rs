@@ -1,10 +1,9 @@
-//! Human and JSON report rendering, shared by the `demodq-lint` and
-//! `demodq-analyze` binaries.
+//! Human and JSON report rendering for the `demodq-lint` binary.
 
 use crate::{json_escape, Code, Report, Verdict};
 
 /// Prints the actionable findings and the gate verdict for humans.
-pub fn print_human(tool: &str, report: &Report, verdict: &Verdict) {
+pub fn print_human(report: &Report, verdict: &Verdict) {
     // Only findings in (file, code) groups that exceed the baseline are
     // actionable; print them all (the grandfathered ones give context).
     let over: std::collections::BTreeSet<(&str, Code)> =
@@ -36,8 +35,10 @@ pub fn print_human(tool: &str, report: &Report, verdict: &Verdict) {
     let suppressed = report.findings.iter().filter(|f| f.suppressed).count();
     let active = report.active().count();
     println!(
-        "{tool}: {} file(s), {} active finding(s) ({} suppressed), {} new, {} stale — {}",
+        "demodq-lint: {} file(s) ({} through the flow pass), {} active finding(s) ({} suppressed), \
+         {} new, {} stale — {}",
         report.files_scanned,
+        report.flow_files_scanned,
         active,
         suppressed,
         verdict.new.len(),
@@ -91,8 +92,9 @@ pub fn print_json(report: &Report, verdict: &Verdict) {
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"files\": {}, \"active\": {}, \"suppressed\": {}, \"clean\": {}}}\n}}\n",
+        "  ],\n  \"summary\": {{\"files\": {}, \"flow_files\": {}, \"active\": {}, \"suppressed\": {}, \"clean\": {}}}\n}}\n",
         report.files_scanned,
+        report.flow_files_scanned,
         report.active().count(),
         suppressed.len(),
         verdict.clean()

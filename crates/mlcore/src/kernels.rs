@@ -8,13 +8,12 @@
 //! * [`HistF32`] — per-node (gradient, hessian, count) histograms over a
 //!   [`BinnedMatrix`], stored as interleaved `[g, h, count, pad]` `f32`
 //!   quads so one 16-byte load-add-store updates a whole cell (counts
-//!   are integers far below 2^24, where `f32` stays exact). The serial
-//!   path streams the matrix's row-major bin codes — one contiguous `u8`
-//!   row plus one gradient/hessian load per row instead of per-feature
-//!   gathers — while large nodes split the feature range across pool
-//!   workers; per `(feature, bin)` cell both orders are ascending row
-//!   position, so the sums are bit-identical at any thread count. Split
-//!   gain is computed in `f64` from the `f32` sums by the tree builder.
+//!   are integers far below 2^24, where `f32` stays exact). The kernel
+//!   streams the matrix's row-major bin codes — one contiguous `u8` row
+//!   plus one gradient/hessian load per row instead of per-feature
+//!   gathers — on the calling thread, so each `(feature, bin)` cell sums
+//!   in ascending row position at any thread count. Split gain is
+//!   computed in `f64` from the `f32` sums by the tree builder.
 //! * [`sq_dist_block`] — cache-blocked brute-force kNN distances: a block
 //!   of [`QUERY_BLOCK`] query rows is transposed into feature-major
 //!   scratch once, then every train row accumulates all query lanes in
@@ -37,11 +36,6 @@ use tabular::DenseMatrix;
 // ---------------------------------------------------------------------------
 // Histogram accumulation
 // ---------------------------------------------------------------------------
-
-/// Histogram cost (`rows × features`) below which a node's histogram is
-/// accumulated without consulting the thread pool (moved here from the
-/// tree builder; small fits never touch or lazily create the pool).
-const PARALLEL_HIST_CELLS: usize = 1 << 16;
 
 /// The `f32` slots per (feature, bin) histogram cell: gradient sum,
 /// hessian sum, row count, and one padding lane that keeps every cell a
@@ -78,16 +72,15 @@ impl HistF32 {
     /// Accumulates the histogram of `rows` (global row ids into `grad` /
     /// `hess`).
     ///
-    /// Every `(feature, bin)` slot receives its contributions in
-    /// ascending row position — the **fixed accumulation order** both
-    /// execution paths share. The serial path streams whole rows of the
-    /// matrix's row-major bin codes (one contiguous `u8` read and one
-    /// gradient/hessian load per row, with the ~`n_cols`-update gap
-    /// between repeat visits to a lane hiding the `f32` add latency);
-    /// large nodes instead split the *feature range* across pool workers,
-    /// each scanning its feature columns in the same ascending row order.
-    /// Per lane the two paths add the same values in the same order, so
-    /// the sums are bit-identical at any thread count.
+    /// Streams whole rows of the matrix's row-major bin codes (one
+    /// contiguous `u8` read and one gradient/hessian load per row, with
+    /// the ~`n_cols`-update gap between repeat visits to a lane hiding the
+    /// `f32` add latency) on the calling thread. Every `(feature, bin)`
+    /// slot receives its contributions in ascending row position — the
+    /// **fixed accumulation order** — so the sums are bit-identical at any
+    /// thread count. Parallelism comes from the callers: the study runs
+    /// whole evaluation units, and CV tuning its (candidate, fold) fits,
+    /// on pool workers.
     pub fn accumulate(
         binned: &BinnedMatrix,
         rows: &[usize],
@@ -96,24 +89,7 @@ impl HistF32 {
     ) -> HistF32 {
         let mut quads = scratch::take_f32();
         quads.resize(HIST_QUAD * binned.total_bins(), 0.0);
-        let n_cols = binned.n_cols();
-        if n_cols > 1
-            && rows.len().saturating_mul(n_cols) >= PARALLEL_HIST_CELLS
-            && rayon::current_num_threads() > 1
-        {
-            // Position-indexed `f32` copies of the node's statistics: the
-            // per-feature column scans then stream them sequentially
-            // instead of issuing two random `f64` gathers per cell.
-            let mut g32 = scratch::take_f32();
-            g32.clear();
-            g32.extend(rows.iter().map(|&i| grad[i] as f32));
-            let mut h32 = scratch::take_f32();
-            h32.clear();
-            h32.extend(rows.iter().map(|&i| hess[i] as f32));
-            accumulate_feature_range(binned, rows, &g32, &h32, 0, n_cols, quads.as_mut_slice());
-        } else {
-            accumulate_rows_serial(binned, rows, grad, hess, quads.as_mut_slice());
-        }
+        accumulate_rows_serial(binned, rows, grad, hess, quads.as_mut_slice());
         HistF32 { quads }
     }
 
@@ -129,10 +105,10 @@ impl HistF32 {
     }
 }
 
-/// The serial accumulation path: streams the matrix's row-major bin
-/// codes, updating each visited cell with one 16-byte load-add-store
-/// (SSE2 on x86_64; the portable fallback performs the identical three
-/// `f32` adds, so both produce bit-identical buffers).
+/// The loop behind [`HistF32::accumulate`]: streams the matrix's
+/// row-major bin codes, updating each visited cell with one 16-byte
+/// load-add-store (SSE2 on x86_64; the portable fallback performs the
+/// identical three `f32` adds, so both produce bit-identical buffers).
 fn accumulate_rows_serial(
     binned: &BinnedMatrix,
     rows: &[usize],
@@ -181,63 +157,6 @@ fn accumulate_rows_serial(
                 *quads.get_unchecked_mut(q + 2) += 1.0;
             }
         }
-    }
-}
-
-/// Feature `j`'s quad cells as a mutable slice of a buffer whose element
-/// 0 is feature `base`'s first slot (0 for the full buffer, the range
-/// start inside the parallel split).
-#[inline]
-fn feature_quads_mut<'a>(
-    binned: &BinnedMatrix,
-    j: usize,
-    quads: &'a mut [f32],
-    base: usize,
-) -> &'a mut [f32] {
-    let lo = HIST_QUAD * (binned.offset(j) - binned.offset(base));
-    &mut quads[lo..lo + HIST_QUAD * binned.n_bins(j)]
-}
-
-/// Accumulates features `f_lo..f_hi` into a quad slice whose element 0 is
-/// feature `f_lo`'s first slot, recursing so sibling halves can run on
-/// different pool workers (features are disjoint, so this never changes
-/// any sum). `g32` / `h32` are the position-indexed gradient/hessian
-/// buffers prepared by [`HistF32::accumulate`].
-fn accumulate_feature_range(
-    binned: &BinnedMatrix,
-    rows: &[usize],
-    g32: &[f32],
-    h32: &[f32],
-    f_lo: usize,
-    f_hi: usize,
-    quads: &mut [f32],
-) {
-    if f_hi - f_lo <= 1 {
-        let lane = feature_quads_mut(binned, f_lo, quads, f_lo);
-        accumulate_one_feature(binned.feature_bins(f_lo), rows, g32, h32, lane);
-        return;
-    }
-    let mid = f_lo + (f_hi - f_lo) / 2;
-    let split = HIST_QUAD * (binned.offset(mid) - binned.offset(f_lo));
-    let (quads_l, quads_r) = quads.split_at_mut(split);
-    rayon::join(
-        || accumulate_feature_range(binned, rows, g32, h32, f_lo, mid, quads_l),
-        || accumulate_feature_range(binned, rows, g32, h32, mid, f_hi, quads_r),
-    );
-}
-
-/// One feature's sequential column gather over position-indexed `f32`
-/// statistics — the parallel path's per-feature unit. Rows are added in
-/// ascending position, the same per-lane order the serial row-major pass
-/// uses, so both paths produce bit-identical cells (constant features
-/// included: their single-bin cell is filled here too, exactly as the
-/// row-major pass fills it).
-fn accumulate_one_feature(column: &[u8], rows: &[usize], g32: &[f32], h32: &[f32], lane: &mut [f32]) {
-    for (r, &i) in rows.iter().enumerate() {
-        let q = HIST_QUAD * usize::from(column[i]);
-        lane[q] += g32[r];
-        lane[q + 1] += h32[r];
-        lane[q + 2] += 1.0;
     }
 }
 
@@ -510,9 +429,9 @@ mod tests {
 
     #[test]
     fn hist_f32_is_identical_for_any_thread_count() {
-        // Both paths add to each lane in ascending row position;
-        // accumulate twice (the pool may or may not kick in at this
-        // size) and compare bits.
+        // Every lane sums in ascending row position on the calling
+        // thread, so the pool size never enters; accumulate twice and
+        // compare bits.
         let x = random_matrix(300, 4, 5);
         let binned = BinnedMatrix::from_matrix(&x, 32);
         let mut rng = Rng64::seed_from_u64(9);
@@ -522,27 +441,6 @@ mod tests {
         let a = HistF32::accumulate(&binned, &rows, &grad, &hess);
         let b = HistF32::accumulate(&binned, &rows, &grad, &hess);
         assert_eq!(a.quads.as_slice(), b.quads.as_slice());
-    }
-
-    #[test]
-    fn serial_row_major_and_feature_range_paths_agree_bitwise() {
-        // The serial path streams row-major codes; the pool path scans
-        // feature columns. Per lane both add the same values in the same
-        // (ascending row position) order, so the buffers must match
-        // exactly — this is what keeps exports byte-identical across
-        // thread counts.
-        let x = random_matrix(400, 6, 13);
-        let binned = BinnedMatrix::from_matrix(&x, 16);
-        let mut rng = Rng64::seed_from_u64(31);
-        let grad: Vec<f64> = (0..400).map(|_| rng.normal()).collect();
-        let hess: Vec<f64> = (0..400).map(|_| rng.next_f64()).collect();
-        let rows: Vec<usize> = (0..400).filter(|i| i % 7 != 2).collect();
-        let serial = HistF32::accumulate(&binned, &rows, &grad, &hess);
-        let g32: Vec<f32> = rows.iter().map(|&i| grad[i] as f32).collect();
-        let h32: Vec<f32> = rows.iter().map(|&i| hess[i] as f32).collect();
-        let mut quads = vec![0.0f32; HIST_QUAD * binned.total_bins()];
-        accumulate_feature_range(&binned, &rows, &g32, &h32, 0, 6, &mut quads);
-        assert_eq!(serial.quads.as_slice(), quads.as_slice());
     }
 
     #[test]

@@ -310,12 +310,12 @@ impl Response {
         Response { status, content_type: "text/plain; charset=utf-8", body: body.into() }
     }
 
-    /// Serialises the response to the wire.
-    pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> std::io::Result<()> {
+    /// Serialises the response to the wire format, appending to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>, keep_alive: bool) -> std::io::Result<()> {
         let reason = reason_phrase(self.status);
         let connection = if keep_alive { "keep-alive" } else { "close" };
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             self.status,
             reason,
@@ -323,9 +323,8 @@ impl Response {
             self.body.len(),
             connection,
         )?;
-        // lint:allow(E001, generic W is an in-memory Vec<u8> on every event-loop path; only the threaded fallback passes a socket, off-loop)
-        writer.write_all(&self.body)?;
-        writer.flush()
+        out.extend_from_slice(&self.body);
+        Ok(())
     }
 }
 

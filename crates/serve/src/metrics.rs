@@ -53,7 +53,7 @@ const BATCH_BUCKET_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 #[derive(Default)]
 pub struct Metrics {
     endpoints: [EndpointMetrics; ENDPOINTS.len()],
-    rejected_queue_full: AtomicU64,
+    rejected_at_cap: AtomicU64,
     unseen_category_rows: AtomicU64,
     // Event-loop / micro-batching counters.
     batches_total: AtomicU64,
@@ -93,9 +93,9 @@ impl Metrics {
         slot.latency.observe(latency);
     }
 
-    /// Records a connection rejected because the worker queue was full.
-    pub fn observe_queue_full(&self) {
-        self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+    /// Records a connection refused with 503 at the open-connection cap.
+    pub fn observe_rejected(&self) {
+        self.rejected_at_cap.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records prediction rows that carried a category the model's
@@ -188,11 +188,11 @@ impl Metrics {
                 e.server_errors.load(Ordering::Relaxed)
             ));
         }
-        out.push_str("# HELP demodq_rejected_total Connections refused with 503 (queue full).\n");
+        out.push_str("# HELP demodq_rejected_total Connections refused with 503 (connection cap).\n");
         out.push_str("# TYPE demodq_rejected_total counter\n");
         out.push_str(&format!(
             "demodq_rejected_total {}\n",
-            self.rejected_queue_full.load(Ordering::Relaxed)
+            self.rejected_at_cap.load(Ordering::Relaxed)
         ));
         out.push_str(
             "# HELP demodq_unseen_category_rows_total Prediction rows with categories unseen at fit time.\n",
@@ -293,7 +293,7 @@ mod tests {
         m.observe("/v1/predict", 400, Duration::from_micros(100));
         m.observe("/v1/predict", 500, Duration::from_millis(40));
         m.observe("/nope", 404, Duration::from_micros(10));
-        m.observe_queue_full();
+        m.observe_rejected();
         assert_eq!(m.total_requests(), 4);
 
         let text = m.render();

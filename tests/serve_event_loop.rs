@@ -319,6 +319,53 @@ fn hostile_clients_do_not_wedge_the_loop() {
 }
 
 #[test]
+fn connections_beyond_the_cap_are_shed_with_503() {
+    let app = Arc::new(App::new(train_registry(&[ModelKind::LogReg], 7)));
+    let server = Server::spawn(
+        Arc::clone(&app),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            log_requests: false,
+            max_connections: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn server");
+    let addr = server.local_addr();
+
+    // Two keep-alive connections, each answered once (so the loop has
+    // accepted both) and then left idle: the cap is now full.
+    let mut idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream.write_all(&http_request("GET", "/healthz", "", true)).expect("write");
+            let responses = read_responses(&mut stream, 1);
+            assert_eq!(responses[0].0, 200);
+            stream
+        })
+        .collect();
+
+    // A third connection is answered 503 and closed at accept time. It
+    // sends nothing: the server never reads from a shed socket, so unread
+    // request bytes would turn its close into a reset.
+    let mut shed = TcpStream::connect(addr).expect("connect");
+    shed.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut raw = Vec::new();
+    shed.read_to_end(&mut raw).expect("read the shed response");
+    let (status, body) = parse_one_response(&raw).expect("one full response");
+    assert_eq!(status, 503);
+    let reply: Value = serde_json::from_slice(&body).unwrap();
+    assert_eq!(reply.get("error").and_then(Value::as_str), Some("server is at capacity"));
+
+    // The open connections are still served, and the shed is counted.
+    idle[0].write_all(&http_request("GET", "/metrics", "", true)).expect("write");
+    let (status, metrics) = read_responses(&mut idle[0], 1).remove(0);
+    assert_eq!(status, 200);
+    let metrics = String::from_utf8(metrics).unwrap();
+    assert!(metrics.contains("demodq_rejected_total 1\n"), "{metrics}");
+}
+
+#[test]
 fn hot_swap_under_predict_load_keeps_generations_coherent() {
     let registry_a = train_registry(&[ModelKind::LogReg], 7);
     let registry_b = Arc::new(registry_a.retrain(8).expect("retrain generation B"));
